@@ -4,8 +4,10 @@
 // flags must exist in the binary's flag set, scenario names passed to
 // -scenario / `scenarios describe|dump` must be registered built-ins,
 // and experiment names passed to replend-experiments must be runnable.
+// Every fenced `go run ./<dir>` must name a directory, relative to the
+// working directory (the repository root in CI), holding a package main.
 // CI runs it on every push so docs cannot silently rot when a flag is
-// renamed or a built-in added.
+// renamed, a built-in added or a program deleted.
 //
 // Usage:
 //
@@ -18,8 +20,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/build"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -68,6 +73,11 @@ func run(args []string) error {
 		for _, inv := range invocations(string(data)) {
 			for _, p := range checkInvocation(inv, simFlags, expFlags, scenarios, experiments) {
 				problems = append(problems, fmt.Sprintf("%s:%d: %s (in: %s)", file, inv.line, p, inv.text))
+			}
+		}
+		for _, fl := range fencedLines(string(data)) {
+			for _, p := range checkGoRun(".", fl.text) {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s (in: %s)", file, fl.line, p, fl.text))
 			}
 		}
 	}
@@ -128,10 +138,11 @@ type invocation struct {
 	toks []string
 }
 
-// invocations extracts command lines from fenced code blocks. Only lines
-// inside ``` fences are considered (prose mentioning a flag in passing is
-// not a command), and everything after a shell comment is dropped.
-func invocations(doc string) []invocation {
+// fencedLines extracts the command lines of fenced code blocks, with no
+// binary resolved yet. Only lines inside ``` fences are considered (prose
+// mentioning a flag in passing is not a command), and everything after a
+// shell comment is dropped.
+func fencedLines(doc string) []invocation {
 	var out []invocation
 	inFence := false
 	for i, line := range strings.Split(doc, "\n") {
@@ -146,25 +157,52 @@ func invocations(doc string) []invocation {
 		if j := strings.Index(trimmed, "#"); j >= 0 {
 			trimmed = trimmed[:j]
 		}
+		out = append(out, invocation{line: i + 1, text: strings.TrimSpace(trimmed)})
+	}
+	return out
+}
+
+// invocations extracts the fenced command lines naming a checked binary.
+func invocations(doc string) []invocation {
+	var out []invocation
+	for _, inv := range fencedLines(doc) {
 		for _, bin := range []string{"replend-sim", "replend-experiments"} {
-			j := strings.Index(trimmed, bin)
+			j := strings.Index(inv.text, bin)
 			if j < 0 {
 				continue
 			}
-			rest := trimmed[j+len(bin):]
+			rest := inv.text[j+len(bin):]
 			if !strings.HasPrefix(rest, " ") && rest != "" {
 				continue // replend-sim.something — not an invocation
 			}
-			out = append(out, invocation{
-				line: i + 1,
-				bin:  bin,
-				text: strings.TrimSpace(trimmed),
-				toks: strings.Fields(rest),
-			})
+			inv.bin, inv.toks = bin, strings.Fields(rest)
+			out = append(out, inv)
 			break
 		}
 	}
 	return out
+}
+
+// goRunDir matches the package directory of a `go run ./<dir>` command,
+// after any build flags; ./... patterns and <placeholders> do not match.
+var goRunDir = regexp.MustCompile(`\bgo run (?:-\S+ )*\./([\w/-]+)(?:\s|$)`)
+
+// checkGoRun reports each `go run ./<dir>` on a fenced line whose
+// directory, resolved against root, holds no package main.
+func checkGoRun(root, line string) []string {
+	var problems []string
+	for _, m := range goRunDir.FindAllStringSubmatch(line, -1) {
+		if !holdsMain(filepath.Join(root, m[1])) {
+			problems = append(problems, fmt.Sprintf("go run ./%s: no package main in that directory", m[1]))
+		}
+	}
+	return problems
+}
+
+// holdsMain reports whether dir's non-test Go files form package main.
+func holdsMain(dir string) bool {
+	pkg, err := build.ImportDir(dir, 0)
+	return err == nil && pkg.Name == "main" && len(pkg.GoFiles) > 0
 }
 
 // placeholder reports a token that stands for user input rather than a

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,5 +64,43 @@ func TestProseOutsideFencesIgnored(t *testing.T) {
 	invs := invocations(doc)
 	if len(invs) != 1 || invs[0].text != "replend-sim -scenario quickstart" {
 		t.Fatalf("invocations = %+v, want only the fenced command", invs)
+	}
+}
+
+func TestGoRunPathsChecked(t *testing.T) {
+	root := t.TempDir()
+	for file, src := range map[string]string{
+		"cmd/tool/x.go":      "package main\n\nfunc main() {}\n",
+		"lib/x.go":           "package lib\n",
+		"testonly/x_test.go": "package main\n",
+	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, file)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, file), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, line := range []string{
+		"go run ./cmd/tool -flag 1",
+		"go run -race ./cmd/tool",
+		"go run ./cmd/tool ./... && go run ./cmd/tool",
+		"go run ./...",
+		"go run ./<dir>",
+		"go vet ./missing",
+	} {
+		if p := checkGoRun(root, line); len(p) != 0 {
+			t.Errorf("%q flagged: %v", line, p)
+		}
+	}
+	for _, line := range []string{
+		"go run ./examples/quickstart",
+		"go run ./lib",
+		"go run ./testonly",
+		"go run ./cmd/tool && go run ./cmd/gone",
+	} {
+		if p := checkGoRun(root, line); len(p) != 1 || !strings.Contains(p[0], "no package main") {
+			t.Errorf("%q: problems %v, want one missing-main report", line, p)
+		}
 	}
 }

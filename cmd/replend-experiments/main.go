@@ -29,7 +29,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -103,7 +102,7 @@ func run(args []string) error {
 		SeedBase: *seed,
 	}
 	if *wkArg != "" {
-		spec, err := loadWorkload(*wkArg)
+		spec, err := workload.Resolve(*wkArg)
 		if err != nil {
 			return err
 		}
@@ -139,29 +138,17 @@ func run(args []string) error {
 		opt.Fleet = f
 	}
 	if *telemPath != "" {
-		out := io.Writer(os.Stdout)
-		var file *os.File
-		if *telemPath != "-" {
-			f, err := os.Create(*telemPath)
-			if err != nil {
-				return fmt.Errorf("-telemetry: %w", err)
-			}
-			file, out = f, f
+		stream, err := telemetry.CreateStream(*telemPath)
+		if err != nil {
+			return fmt.Errorf("-telemetry: %w", err)
 		}
-		stream := telemetry.NewStreamSink(out)
 		bus := telemetry.NewBus()
 		bus.Attach(stream)
 		opt.Telemetry = bus
 		defer func() {
-			if err := bus.Flush(); err != nil {
+			if err := stream.Close(); err != nil {
 				logf("-telemetry: %v", err)
 				return
-			}
-			if file != nil {
-				if err := file.Close(); err != nil {
-					logf("-telemetry: %v", err)
-					return
-				}
 			}
 			logf("telemetry: %d records streamed (peak %d retained)", stream.Written(), stream.PeakRetained())
 		}()
@@ -207,17 +194,6 @@ func startPprof(addr string) error {
 		}
 	}()
 	return nil
-}
-
-// loadWorkload resolves a -workload argument: a path to a JSON workload
-// spec, or the name of a built-in preset.
-func loadWorkload(nameOrPath string) (*workload.Spec, error) {
-	if data, err := os.ReadFile(nameOrPath); err == nil {
-		return workload.LoadSpec(data)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return workload.Preset(nameOrPath)
 }
 
 // logf is the progress/log channel: stderr, never stdout — stdout belongs

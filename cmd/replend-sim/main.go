@@ -276,16 +276,9 @@ func run(args []string) error {
 // spec: -workload names a JSON spec file or a built-in preset, -replay
 // swaps the generator for a recorded trace's events. A trace cannot
 // combine with a rate program (the trace already fixes every arrival).
-func workloadOverride(wkArg, repPath string) (*workload.Spec, error) {
-	var spec *workload.Spec
+func workloadOverride(wkArg, repPath string) (spec *workload.Spec, err error) {
 	if wkArg != "" {
-		if data, err := os.ReadFile(wkArg); err == nil {
-			if spec, err = workload.LoadSpec(data); err != nil {
-				return nil, fmt.Errorf("%s: %w", wkArg, err)
-			}
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		} else if spec, err = workload.Preset(wkArg); err != nil {
+		if spec, err = workload.Resolve(wkArg); err != nil {
 			return nil, err
 		}
 	}

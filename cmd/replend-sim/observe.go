@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -56,17 +55,10 @@ func (o obs) attach(w *world.World, label string) (finish func() error, err erro
 	}
 	bus := telemetry.NewBus()
 	var stream *telemetry.StreamSink
-	var file *os.File
 	if o.telemetryPath != "" {
-		out := io.Writer(os.Stdout)
-		if o.telemetryPath != "-" {
-			f, err := os.Create(o.telemetryPath)
-			if err != nil {
-				return nil, fmt.Errorf("-telemetry: %w", err)
-			}
-			file, out = f, f
+		if stream, err = telemetry.CreateStream(o.telemetryPath); err != nil {
+			return nil, fmt.Errorf("-telemetry: %w", err)
 		}
-		stream = telemetry.NewStreamSink(out)
 		bus.Attach(stream)
 	}
 	var stopTicker func()
@@ -85,12 +77,10 @@ func (o obs) attach(w *world.World, label string) (finish func() error, err erro
 		if err := bus.Flush(); err != nil {
 			return fmt.Errorf("-telemetry: %w", err)
 		}
-		if file != nil {
-			if err := file.Close(); err != nil {
+		if stream != nil {
+			if err := stream.Close(); err != nil {
 				return fmt.Errorf("-telemetry: %w", err)
 			}
-		}
-		if stream != nil {
 			logf("telemetry: %d records streamed (peak %d retained)", stream.Written(), stream.PeakRetained())
 		}
 		if table := spans.Table(); table != "" {

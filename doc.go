@@ -53,14 +53,13 @@
 //   - internal/experiments — one runnable per paper figure/table plus
 //     the extension sweeps (whitewash, traitor, ablation, churn,
 //     sessions, stakes).
-//   - internal/core — a compact embedding API (Community).
 //   - internal/trace — structured event log with invariant checks.
 //   - internal/asciiplot — terminal line charts for the reports.
 //
 // The runnable tools live under cmd/ (replend-sim, replend-experiments,
-// docs-check), narrated walkthroughs under examples/ (each a thin driver
-// over a declarative scenario — see docs/scenarios.md), and the
-// benchmarks that regenerate the paper's evaluation in bench_test.go.
+// docs-check), narrated walkthroughs of the built-in scenarios in
+// docs/scenarios.md, and the benchmarks that regenerate the paper's
+// evaluation in bench_test.go.
 // DESIGN.md holds the system inventory and experiment index;
 // EXPERIMENTS.md records paper-vs-measured outcomes; docs/economics.md
 // tells the stake-lifecycle story; docs/fleet.md the distributed runner.

@@ -7,11 +7,11 @@ import (
 	"repro/internal/world"
 )
 
-// The built-in scenarios. The first five are the declarative forms of the
-// repo's examples/* programs and are pinned by golden tests: under the
-// same seed each reproduces, metric for metric, the run its hard-coded
-// predecessor produced. The rest showcase spec features the examples
-// never needed (parameter deltas, traitors, membership churn with
+// The built-in scenarios. The first five are the walkthroughs in
+// docs/scenarios.md and are pinned by golden tests: under the same seed
+// each reproduces, metric for metric, the run its hard-coded predecessor
+// produced. The rest showcase spec features the walkthroughs never
+// needed (parameter deltas, traitors, membership churn with
 // score-manager state migration).
 func init() {
 	for name, build := range map[string]func() *Spec{

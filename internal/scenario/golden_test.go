@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/lending"
 	"repro/internal/peer"
+	"repro/internal/sim"
 	"repro/internal/world"
 )
 
@@ -262,34 +262,36 @@ func TestGoldenFilesharing(t *testing.T) {
 	compareDigests(t, want, runBuiltin(t, "filesharing"))
 }
 
-// TestGoldenAPI pins "api": the introduction chain the core-API example
-// scripted (founder → B → C), replicated through the core package the way
-// the pre-refactor program drove it.
+// TestGoldenAPI pins "api": the introduction chain founder → B → C,
+// scripted directly on a world.
 func TestGoldenAPI(t *testing.T) {
-	c, err := core.NewCommunity(core.Options{
-		Founders:   80,
-		Seed:       7,
-		Lambda:     0.02,
-		FracUncoop: 0.25,
-	})
+	cfg := config.Default()
+	cfg.NumInit = 80
+	cfg.Seed = 7
+	cfg.Lambda = 0.02
+	cfg.FracUncoop = 0.25
+	cfg.NumTrans = 1 << 40 // effectively unbounded; the clock is driven below
+	w, err := world.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(5_000)
-	b, err := c.RequestIntroduction(core.Cooperative, c.Members()[0])
-	if err != nil {
-		t.Fatal(err)
+	w.Start()
+	advance := func(n sim.Tick) {
+		t.Helper()
+		if err := w.RunFor(n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Advance(c.WaitPeriod() + 1)
-	c.Advance(30_000)
-	cc, err := c.RequestIntroduction(core.Cooperative, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(c.WaitPeriod() + 1)
-	c.Advance(20_000)
-	c.World().Finish()
-	want := worldDigest(c.World(), map[string]id.ID{"b": b, "c": cc})
+	wait := sim.Tick(cfg.WaitPeriod) + 1
+	advance(5_000)
+	b := mustInject(t, w, peer.Cooperative, peer.Selective, w.AdmittedPeers()[0])
+	advance(wait)
+	advance(30_000)
+	c := mustInject(t, w, peer.Cooperative, peer.Selective, b)
+	advance(wait)
+	advance(20_000)
+	w.Finish()
+	want := worldDigest(w, map[string]id.ID{"b": b, "c": c})
 	want.End = 57_002
 
 	compareDigests(t, want, runBuiltin(t, "api"))

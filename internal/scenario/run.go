@@ -18,12 +18,6 @@ import (
 // phase; Finish plays the rest and closes the run. Programs that only
 // need the end state call Spec.Run.
 type Run struct {
-	// AfterInjection, when set, observes each scripted arrival right
-	// after its SpacedBy interval has elapsed — the hook example drivers
-	// use to narrate admissions wave by wave.
-	//replend:allow snapshotfields observer hook owned by the driving program; a resuming driver re-attaches its own
-	AfterInjection func(InjectionOutcome)
-
 	spec     *Spec
 	w        *world.World
 	labels   map[string]id.ID
@@ -75,20 +69,6 @@ func (r *Run) World() *world.World { return r.w }
 
 // Spec returns the scenario being executed.
 func (r *Run) Spec() *Spec { return r.spec }
-
-// Labeled resolves a label bound by an executed injection.
-func (r *Run) Labeled(name string) (id.ID, bool) {
-	pid, ok := r.labels[name]
-	return pid, ok
-}
-
-// Outcomes lists the scripted arrivals executed so far.
-func (r *Run) Outcomes() []InjectionOutcome {
-	return append([]InjectionOutcome(nil), r.outcomes...)
-}
-
-// PhasesRemaining reports how many phases have not executed yet.
-func (r *Run) PhasesRemaining() int { return len(r.spec.Phases) - r.next }
 
 // StepPhase advances the clock to the next phase's tick and executes its
 // actions in order: set, crash, depart, inject, rejoin, recover. It
@@ -173,7 +153,7 @@ func (r *Run) Finish() (*Result, error) {
 		Spec:            r.spec,
 		Metrics:         *r.w.Metrics(),
 		Proto:           r.w.Protocol().Stats(),
-		Outcomes:        r.Outcomes(),
+		Outcomes:        r.outcomes,
 		FinalReputation: make(map[string]float64, len(r.labels)),
 		Members:         r.w.PopulationSize(),
 	}
@@ -200,8 +180,8 @@ func (r *Run) crash(f *Fault) error {
 }
 
 // inject runs one (possibly repeated) scripted arrival. The introducer is
-// resolved once; each repeat advances the clock by SpacedBy before the
-// AfterInjection hook observes it.
+// resolved once; each repeat advances the clock by SpacedBy before its
+// outcome is recorded.
 func (r *Run) inject(in *Injection, ph *Phase) error {
 	introID, err := r.resolve(in.Introducer)
 	if err != nil {
@@ -233,9 +213,6 @@ func (r *Run) inject(in *Injection, ph *Phase) error {
 			}
 		}
 		r.outcomes = append(r.outcomes, o)
-		if r.AfterInjection != nil {
-			r.AfterInjection(o)
-		}
 	}
 	return nil
 }

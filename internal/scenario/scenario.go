@@ -9,9 +9,9 @@
 // A spec is authored by hand (see docs/scenarios.md), loaded with Load,
 // and executed with Spec.Run — or stepped phase by phase via Spec.Start
 // for programs that want to observe the community between phases. The
-// registry (Get, Names) holds built-in scenarios mirroring the repo's
-// examples/* programs; golden tests pin each built-in to the metrics of
-// the hard-coded program it replaced.
+// registry (Get, Names) holds the built-in scenarios; golden tests pin
+// the walkthrough built-ins to the metrics of the hard-coded programs
+// they replaced.
 package scenario
 
 import (

@@ -40,8 +40,7 @@ type RunState struct {
 }
 
 // Snapshot captures the run's state. Like world.Snapshot, it requires a
-// healthy, unfinished run; the AfterInjection hook is not serializable
-// and must be re-attached by the resuming driver if needed.
+// healthy, unfinished run.
 func (r *Run) Snapshot() (*RunState, error) {
 	if r.done {
 		return nil, errors.New("scenario: cannot checkpoint a finished run")

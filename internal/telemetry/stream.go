@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 )
 
 // DefaultFlushEvery is the retained-record ceiling of a StreamSink: the
@@ -27,6 +29,7 @@ const DefaultFlushEvery = 256
 // dropped, and Flush reports it.
 type StreamSink struct {
 	w          io.Writer
+	file       *os.File // closed by Close; nil unless CreateStream opened it
 	buf        bytes.Buffer
 	enc        *json.Encoder
 	flushEvery int
@@ -54,6 +57,22 @@ func NewStreamSink(w io.Writer) *StreamSink {
 	s := &StreamSink{w: w, flushEvery: DefaultFlushEvery}
 	s.enc = json.NewEncoder(&s.buf)
 	return s
+}
+
+// CreateStream returns a sink streaming to a new file at path, or to
+// stdout when path is "-" (the CLIs' -telemetry flag). Close flushes it
+// and closes the file.
+func CreateStream(path string) (*StreamSink, error) {
+	if path == "-" {
+		return NewStreamSink(os.Stdout), nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStreamSink(f)
+	s.file = f
+	return s, nil
 }
 
 // SetFlushEvery changes the retained-record ceiling (minimum 1).
@@ -107,6 +126,15 @@ func (s *StreamSink) flush() {
 func (s *StreamSink) Flush() error {
 	s.flush()
 	return s.err
+}
+
+// Close flushes the sink and closes the file CreateStream opened; a sink
+// over any other writer only flushes.
+func (s *StreamSink) Close() error {
+	if s.file == nil {
+		return s.Flush()
+	}
+	return errors.Join(s.Flush(), s.file.Close())
 }
 
 // Written returns the number of records accepted so far.

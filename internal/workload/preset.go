@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
 // Preset names, in the order PresetNames lists them.
 const (
@@ -25,6 +28,23 @@ func Preset(name string) (*Spec, error) {
 		return HeavytailCohorts(), nil
 	}
 	return nil, fmt.Errorf("workload: unknown preset %q (have %v)", name, PresetNames())
+}
+
+// Resolve reads a -workload argument: the path of a JSON workload spec
+// file or, when no such file exists, the name of a built-in preset. A
+// malformed file's error starts with its path.
+func Resolve(pathOrPreset string) (*Spec, error) {
+	data, err := os.ReadFile(pathOrPreset)
+	if os.IsNotExist(err) {
+		return Preset(pathOrPreset)
+	} else if err != nil {
+		return nil, err
+	}
+	spec, err := LoadSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", pathOrPreset, err)
+	}
+	return spec, nil
 }
 
 // Diurnal is a repeating day/night arrival profile: a busy day plateau,

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -348,5 +350,30 @@ func TestPresets(t *testing.T) {
 	b, _ := Preset(PresetHeavytailCohorts)
 	if b.Cohorts[0].Weight == 99 {
 		t.Error("presets share state between calls")
+	}
+}
+
+func TestResolve(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := os.WriteFile(good, []byte(`{"cohorts":[{"name":"a","weight":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"cohorts":[],"bogus":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if s, err := Resolve(good); err != nil || len(s.Cohorts) != 1 {
+		t.Fatalf("Resolve(file) = %+v, %v", s, err)
+	}
+	if s, err := Resolve(PresetDiurnal); err != nil || s.Rate == nil {
+		t.Fatalf("Resolve(preset) = %+v, %v", s, err)
+	}
+	if _, err := Resolve(bad); err == nil || !strings.HasPrefix(err.Error(), bad+": ") {
+		t.Fatalf("malformed file error %v does not start with the path", err)
+	}
+	if _, err := Resolve(filepath.Join(dir, "missing.json")); err == nil || !strings.Contains(err.Error(), "unknown preset") {
+		t.Fatalf("missing file and no preset: err = %v", err)
 	}
 }

@@ -50,8 +50,6 @@ type World struct {
 	topo   topology.Selector
 	proto  *lending.Protocol
 	policy baseline.Policy // used when cfg.RequireIntroductions is false
-	//replend:allow snapshotfields observability sink, not simulation state: no run output is derived from it, and a resumed run re-traces from the cut
-	tracer *trace.Log // optional structured event log
 	//replend:allow snapshotfields observability sink, not simulation state: publishing changes no draw, and a resumed run re-publishes from the cut
 	telem *telemetry.Bus // optional streaming telemetry bus (nil = off)
 	//replend:allow snapshotfields observability-only wall-clock span recorder; write-only from the simulation's side, never read by it
@@ -453,9 +451,6 @@ func newBare(cfg config.Config) (*World, error) {
 // disables the introduction requirement.
 func (w *World) SetPolicy(p baseline.Policy) { w.policy = p }
 
-// SetTrace attaches a structured event log; nil detaches it.
-func (w *World) SetTrace(l *trace.Log) { w.tracer = l }
-
 // SetTelemetry attaches a streaming telemetry bus; nil detaches it. The
 // world publishes every trace-style event and every periodic sample
 // (plus a "population" gauge) into the bus. Telemetry is write-only:
@@ -473,22 +468,21 @@ func (w *World) SetSpans(s *telemetry.Spans) {
 	w.proto.SetSpans(s)
 }
 
-// record writes to the attached tracer and telemetry bus, if any.
+// record publishes one trace-style event on the telemetry bus, the
+// world's only event channel. Without an active bus it returns before
+// building the event.
 func (w *World) record(kind trace.Kind, p, other id.ID, detail string) {
-	at := int64(w.engine.Now())
-	if w.tracer != nil {
-		w.tracer.Record(at, kind, p, other, detail)
+	if !w.telem.Active() {
+		return
 	}
-	if w.telem.Active() {
-		ev := telemetry.Event{At: at, Kind: string(kind), Peer: p.Short(), Detail: detail}
-		if !other.IsZero() {
-			ev.Other = other.Short()
-		}
-		w.telem.Event(ev)
+	ev := telemetry.Event{At: int64(w.engine.Now()), Kind: string(kind), Peer: p.Short(), Detail: detail}
+	if !other.IsZero() {
+		ev.Other = other.Short()
 	}
+	w.telem.Event(ev)
 }
 
-// Engine exposes the discrete-event engine (examples drive it directly).
+// Engine exposes the discrete-event engine.
 func (w *World) Engine() *sim.Engine { return w.engine }
 
 // Bus exposes the transport layer for fault injection in tests.
@@ -1475,7 +1469,7 @@ func (w *World) Run() error {
 }
 
 // Finish records the closing time-series sample at the current tick.
-// Callers that drive the clock themselves (scenarios, scripted examples)
+// Callers that drive the clock themselves (scenario runs, golden tests)
 // call it once at the end of the run; Run does so implicitly.
 func (w *World) Finish() {
 	w.sample()
@@ -1486,7 +1480,7 @@ func (w *World) Finish() {
 // the introduction. The introducer applies its normal judgement. The new
 // peer's identifier is returned; admission (or refusal) is reported
 // through the usual metrics once the waiting period elapses. Used by the
-// collusion experiment and the examples.
+// collusion experiment and scenario injections.
 func (w *World) InjectArrival(class peer.Class, style peer.Style, introducerID id.ID) (id.ID, error) {
 	introducer := w.livePeer(introducerID)
 	if introducer == nil {

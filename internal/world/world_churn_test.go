@@ -471,8 +471,7 @@ func TestLeaseEvictionsDropStaleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &trace.Log{}
-	w.SetTrace(tr)
+	tr := attachTrace(w)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
+
+// attachTrace records the world's events into a fresh unbounded log fed
+// from the telemetry bus, the world's only event channel.
+func attachTrace(w *World) *trace.Log {
+	log := trace.New(0)
+	bus := telemetry.NewBus()
+	bus.Attach(trace.Sink{Log: log})
+	w.SetTelemetry(bus)
+	return log
+}
 
 // TestTraceInvariantsOverFullRun drives a whole simulation with the
 // recorder attached and verifies the causal invariants of the admission
@@ -20,8 +31,7 @@ func TestTraceInvariantsOverFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := trace.New(0)
-	w.SetTrace(log)
+	log := attachTrace(w)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +79,7 @@ func TestLendingSurvivesMessageLoss(t *testing.T) {
 	// part.)
 	w.Bus().SetLoss(0.2)
 	w.Bus().SetFaultRand(newFaultRand())
-	log := trace.New(0)
-	w.SetTrace(log)
+	log := attachTrace(w)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
