@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -337,6 +338,31 @@ func BenchmarkRingChurn(b *testing.B) {
 		if err := ring.Leave(n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFounderBuild measures founding-community construction —
+// world.New at 10^4 founders (2 000 under -short) — with and without
+// score-manager record migration armed. Signing is null so the figure is
+// the overlay join and the placement sweep, not Ed25519 key generation.
+func BenchmarkFounderBuild(b *testing.B) {
+	n := 10_000
+	if testing.Short() {
+		n = 2_000
+	}
+	for _, migrate := range []bool{false, true} {
+		b.Run(fmt.Sprintf("migrate=%v", migrate), func(b *testing.B) {
+			cfg := config.Default()
+			cfg.NumInit = n
+			cfg.NullSign = true
+			cfg.Churn = churn.Params{Migrate: migrate}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := world.New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,14 +18,19 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/id"
 )
 
 // SuccessorListLen is the number of successors each node tracks. Chord's
-// robustness argument wants Ω(log n); 8 covers the simulated population
-// sizes (≤ ~10k nodes) comfortably.
+// robustness argument wants Ω(log n), which 8 matches only up to a few
+// hundred nodes; the simulated worlds reach 10^6 members (log2 ≈ 20).
+// The shortfall does not matter here: the ring applies every join and
+// leave eagerly and repairs a node's state before routing through it, so
+// no lookup relies on the list to bridge departed neighbours. The value
+// stays fixed because it is part of every node's routing state.
 const SuccessorListLen = 8
 
 // Node is one overlay member's routing state. Neighbour pointers (next,
@@ -372,6 +377,23 @@ func (r *Ring) ScoreManagers(peer id.ID, numSM int) ([]id.ID, error) {
 // alter any reported arc (key, owner]: this is how the simulation world
 // turns whole-ring epoch invalidation into per-peer incremental eviction.
 func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner id.ID)) ([]id.ID, error) {
+	return r.placement(r, peer, numSM, track)
+}
+
+// ownership answers the two membership queries placement makes: the
+// owner of a key, and a member's live successor. The ring answers them
+// from its treap and neighbour pointers, a SortedView from a flat array.
+type ownership interface {
+	ownerOf(key id.ID) id.ID
+	nextOf(member id.ID) id.ID
+}
+
+func (r *Ring) ownerOf(key id.ID) id.ID   { return r.successorID(key) }
+func (r *Ring) nextOf(member id.ID) id.ID { return r.nodes[member].next.ID }
+
+// placement is ScoreManagersTracked with the membership queries answered
+// by idx, which must reflect the ring's current membership.
+func (r *Ring) placement(idx ownership, peer id.ID, numSM int, track func(key, owner id.ID)) ([]id.ID, error) {
 	if numSM <= 0 {
 		return nil, fmt.Errorf("overlay: numSM must be positive, got %d", numSM)
 	}
@@ -379,11 +401,18 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 		return nil, ErrEmpty
 	}
 	managers := make([]id.ID, 0, numSM)
-	othersAvailable := r.size > 1 || !r.Contains(peer)
+	member := r.Contains(peer)
+	othersAvailable := r.size > 1 || !member
+	keys := r.replicaKeys[peer]
 	maxReplica := numSM * 8 // generous: hash collisions across replicas are rare
 	for rep := 0; rep < maxReplica && len(managers) < numSM; rep++ {
-		key := r.replicaKey(peer, rep)
-		owner := r.successorID(key)
+		if rep == len(keys) {
+			// Every replica yields at most one manager, so the walk
+			// needs at least numSM keys: hash those in one go.
+			keys = r.replicaKeysTo(peer, keys, max(numSM, rep+1), member)
+		}
+		key := keys[rep]
+		owner := idx.ownerOf(key)
 		if track != nil {
 			track(key, owner)
 		}
@@ -398,7 +427,7 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 			// A peer must not manage its own reputation: walk clockwise to
 			// the next member, like replica placement past a responsible
 			// node in a real DHT.
-			owner = r.nodes[peer].next.ID
+			owner = idx.nextOf(peer)
 			if track != nil {
 				track(peer, owner)
 			}
@@ -416,24 +445,21 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 	return managers, nil
 }
 
-// replicaKey returns replica key rep for the peer, memoised for members:
+// replicaKeysTo extends keys, a prefix of the peer's replica keys
+// Hash(peer ‖ r), to the first n and returns them, memoised for members:
 // the keys are a pure function of the identifier, so each is hashed at
 // most once per membership stint (the cache is dropped when the member
-// leaves). Non-member queries compute without caching — only Leave evicts,
-// so memoising them would leak for the ring's lifetime.
-func (r *Ring) replicaKey(peer id.ID, rep int) id.ID {
-	keys := r.replicaKeys[peer]
-	if rep < len(keys) {
-		return keys[rep]
-	}
-	if !r.Contains(peer) {
-		return peer.Replica(rep)
-	}
-	for len(keys) <= rep {
+// leaves). Non-member keys are not memoised — only Leave evicts, so
+// memoising them would leak for the ring's lifetime.
+func (r *Ring) replicaKeysTo(peer id.ID, keys []id.ID, n int, member bool) []id.ID {
+	keys = slices.Grow(keys, n-len(keys))
+	for len(keys) < n {
 		keys = append(keys, peer.Replica(len(keys)))
 	}
-	r.replicaKeys[peer] = keys
-	return keys[rep]
+	if member {
+		r.replicaKeys[peer] = keys
+	}
+	return keys
 }
 
 // RoutingStats reports the number of lookups performed and the mean hop

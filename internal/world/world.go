@@ -550,6 +550,18 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 	if e, ok := w.smCache[p]; ok {
 		return e
 	}
+	return w.fillEntry(p, w.ring)
+}
+
+// placer computes a tracked placement: the live ring, or a SortedView of
+// it while the membership holds still.
+type placer interface {
+	ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner id.ID)) ([]id.ID, error)
+}
+
+// fillEntry computes the peer's placement through pl and caches and
+// indexes it exactly as a smEntry miss does.
+func (w *World) fillEntry(p id.ID, pl placer) *smCacheEntry {
 	e := &smCacheEntry{}
 	var track func(key, owner id.ID)
 	// Non-members (post-run queries about departed peers) are never
@@ -564,7 +576,7 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 			e.deps = append(e.deps, smDep{key: key, owner: owner, skip: skip})
 		}
 	}
-	sms, err := w.ring.ScoreManagersTracked(p, w.cfg.NumSM, track)
+	sms, err := pl.ScoreManagersTracked(p, w.cfg.NumSM, track)
 	if err != nil {
 		w.fail(fmt.Errorf("sim: score managers for %s: %w", p.Short(), err))
 		return emptySMEntry
@@ -842,41 +854,70 @@ func (w *World) newPeerID() id.ID {
 
 // createFounders builds the initial community: cfg.NumInit cooperative
 // peers, fracNaive of them naive introducers, all fully trusted.
+//
+// Founders are built in bulk. IDs, styles and identities are drawn in
+// the order one-at-a-time arrivals would draw them, the overlay is
+// joined in one pass, and the founders are then registered and admitted
+// in that same order. Per-join placement patching and record migration
+// are skipped: nothing is cached yet and every store stays empty until
+// the founders are initialised below, so neither has work to do. One
+// sweep then fills each
+// founder's placement, in admission order, against a sorted view of the
+// finished membership.
 func (w *World) createFounders() error {
-	for i := 0; i < w.cfg.NumInit; i++ {
+	founders := make([]*peer.Peer, w.cfg.NumInit)
+	idents := make([]transport.Identity, len(founders))
+	ids := make([]id.ID, len(founders))
+	for i := range founders {
 		pid := w.newPeerID()
 		style := peer.AssignStyle(peer.Cooperative, w.cfg.FracNaive, w.behaveRand)
-		p := w.newPeer(pid, peer.Cooperative, style)
-		if err := w.attachNode(p); err != nil {
+		founders[i] = w.newPeer(pid, peer.Cooperative, style)
+		ident, err := w.newIdentity(pid)
+		if err != nil {
 			return err
 		}
+		idents[i], ids[i] = ident, pid
+	}
+	if err := w.ring.JoinAll(ids); err != nil {
+		return fmt.Errorf("sim: joining overlay: %w", err)
+	}
+	for i, p := range founders {
+		w.proto.RegisterPeer(p.ID, idents[i])
+		w.ensureSlot(p.ID).pr = p
 		w.admit(p, 0)
 		w.m.Founders++
 	}
 	// Founders start fully reputed; their score managers now exist, so
 	// initialise their state.
-	for _, p := range w.admittedPeers {
-		for _, st := range w.smEntry(p.ID).stores {
+	view := w.ring.SortedView()
+	for _, p := range founders {
+		for _, st := range w.fillEntry(p.ID, view).stores {
 			st.Init(p.ID, w.cfg.FounderRep)
 		}
 	}
 	return w.err
 }
 
-// attachNode joins a peer's node to the overlay under a fresh signing
-// identity (it may become a score manager for others immediately). With
-// cfg.NullSign the identity is the cheap null one — an explicit opt-out
-// of the Ed25519 floor for huge sweeps.
-func (w *World) attachNode(p *peer.Peer) error {
-	var ident transport.Identity
+// newIdentity returns a fresh signing identity for a joining node. With
+// cfg.NullSign it is the cheap null one — an explicit opt-out of the
+// Ed25519 floor for huge sweeps.
+func (w *World) newIdentity(pid id.ID) (transport.Identity, error) {
 	if w.cfg.NullSign {
-		ident = transport.NewNullIdentity(p.ID)
-	} else {
-		signer, err := transport.NewSigner(w.keyRand.Split())
-		if err != nil {
-			return err
-		}
-		ident = signer
+		return transport.NewNullIdentity(pid), nil
+	}
+	signer, err := transport.NewSigner(w.keyRand.Split())
+	if err != nil {
+		return nil, err
+	}
+	return signer, nil
+}
+
+// attachNode joins a peer's node to the overlay under a fresh signing
+// identity (it may become a score manager for others immediately).
+func (w *World) attachNode(p *peer.Peer) error {
+	ident, err := w.newIdentity(p.ID)
+	if err != nil {
+		return err
 	}
 	return w.attachNodeIdentity(p, ident)
 }
