@@ -181,7 +181,7 @@ func checkpointCmd(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "version:  %d\n", st.Version)
+		fmt.Fprintf(out, "version:  %d (world snapshot %d)\n", st.Version, st.World.Version)
 		fmt.Fprintf(out, "scenario: %s\n", spec.Name)
 		fmt.Fprintf(out, "phases:   %d of %d executed\n", st.Next, len(spec.Phases))
 		printWorldInfo(out, st.World)
@@ -196,10 +196,25 @@ func checkpointCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// printWorldInfo prints the embedded world's headline numbers.
+// printWorldInfo prints the embedded world's headline numbers,
+// including the sizes of the two tables that dominate a file's bytes:
+// the score managers' credibilities and the peers' opinion books.
 func printWorldInfo(out io.Writer, s *world.Snapshot) {
 	fmt.Fprintf(out, "tick:     %d of %d\n", s.Now, s.Config.NumTrans)
 	fmt.Fprintf(out, "seed:     %d\n", s.Config.Seed)
 	fmt.Fprintf(out, "peers:    %d present (%d admitted, %d departed)\n", len(s.Peers), len(s.Admitted), len(s.Departed))
 	fmt.Fprintf(out, "events:   %d pending\n", len(s.Events))
+	var subjects, creds, opinions int
+	for _, rec := range s.Stores {
+		subjects += len(rec.State.Subjects)
+		creds += len(rec.State.Cred)
+	}
+	for _, rec := range s.Peers {
+		opinions += len(rec.Opinions.Sums)
+	}
+	for _, rec := range s.Departed {
+		opinions += len(rec.Peer.Opinions.Sums)
+	}
+	fmt.Fprintf(out, "stores:   %d (%d subject records, %d credibility entries)\n", len(s.Stores), subjects, creds)
+	fmt.Fprintf(out, "opinions: %d entries\n", opinions)
 }

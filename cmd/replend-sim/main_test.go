@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/world"
 )
 
 func TestRunTinySimulation(t *testing.T) {
@@ -292,7 +295,40 @@ func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 	if err := checkpointCmd([]string{"info", ckpt}, &info); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:"} {
+	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:",
+		fmt.Sprintf("version:  %d (world snapshot %d)", scenario.RunStateVersion, world.SnapshotVersion)} {
+		if !strings.Contains(info.String(), want) {
+			t.Fatalf("checkpoint info output missing %q:\n%s", want, info.String())
+		}
+	}
+	// The table counts must be the real ones, not placeholders: compare
+	// them with the decoded file.
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := scenario.DecodeRunState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subjects, creds, opinions int
+	for _, rec := range st.World.Stores {
+		subjects += len(rec.State.Subjects)
+		creds += len(rec.State.Cred)
+	}
+	for _, rec := range st.World.Peers {
+		opinions += len(rec.Opinions.Sums)
+	}
+	for _, rec := range st.World.Departed {
+		opinions += len(rec.Peer.Opinions.Sums)
+	}
+	if creds == 0 || opinions == 0 {
+		t.Fatalf("quickstart checkpoint has %d credibility and %d opinion entries; want both non-zero", creds, opinions)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("stores:   %d (%d subject records, %d credibility entries)", len(st.World.Stores), subjects, creds),
+		fmt.Sprintf("opinions: %d entries", opinions),
+	} {
 		if !strings.Contains(info.String(), want) {
 			t.Fatalf("checkpoint info output missing %q:\n%s", want, info.String())
 		}

@@ -35,7 +35,10 @@ type File struct {
 }
 
 // Seal encodes body as canonical JSON and wraps it in a verified
-// envelope of the given kind.
+// envelope of the given kind. The envelope bytes are written directly
+// around the body: json.Marshal output is already compact and
+// HTML-escaped, so they equal json.Marshal of the File without a second
+// pass over the body.
 func Seal(kind string, body any) ([]byte, error) {
 	if kind != KindWorld && kind != KindScenario {
 		return nil, fmt.Errorf("checkpoint: unknown kind %q", kind)
@@ -45,12 +48,14 @@ func Seal(kind string, body any) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: encoding %s body: %w", kind, err)
 	}
 	sum := sha256.Sum256(raw)
-	return json.Marshal(File{
-		Magic: Magic,
-		Kind:  kind,
-		Sum:   hex.EncodeToString(sum[:]),
-		Body:  raw,
-	})
+	out := make([]byte, 0, len(raw)+160)
+	out = append(out, `{"magic":"`+Magic+`","kind":"`...)
+	out = append(out, kind...)
+	out = append(out, `","sha256":"`...)
+	out = hex.AppendEncode(out, sum[:])
+	out = append(out, `","body":`...)
+	out = append(out, raw...)
+	return append(out, '}'), nil
 }
 
 // Open parses an envelope, verifies the magic and the digest, and

@@ -1,6 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -39,6 +43,59 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 	if string(data2) != string(data) {
 		t.Fatal("sealing the same body twice produced different bytes")
+	}
+}
+
+// referenceSeal is the envelope construction Seal replaced: marshal the
+// body, then marshal the File around it as a json.RawMessage (which
+// re-compacts and HTML-escapes the body a second time). Seal's output
+// must stay byte-identical to it.
+func referenceSeal(t *testing.T, kind string, body any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	out, err := json.Marshal(File{Magic: Magic, Kind: kind, Sum: hex.EncodeToString(sum[:]), Body: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestSealMatchesReferenceEnvelope(t *testing.T) {
+	type nested struct {
+		Note  string          `json:"note"`
+		IDs   []byte          `json:"ids,omitempty"`
+		Vals  []float64       `json:"vals,omitempty"`
+		Extra json.RawMessage `json:"extra,omitempty"`
+		Map   map[string]int  `json:"map,omitempty"`
+	}
+	bodies := []any{
+		payload{Name: "steady", Ticks: 250000},
+		payload{Name: "<script>&amp;</script> a>b", Ticks: -1},
+		payload{Name: "line\u2028sep\u2029para \u00e9 \x00 \"q\" \\", Ticks: 0},
+		nested{Note: "<&>", IDs: []byte{0, 1, 2, 0xff, '<'}, Vals: []float64{0, 1e-300, 0.1, 1e21}},
+		nested{Extra: json.RawMessage(`{"raw": "<b>&\u2028</b>",  "n" : [1, 2]}`), Map: map[string]int{"z<": 1, "a&": 2}},
+		json.RawMessage(`"top-level <string> & \u2028"`),
+		[]string{"\u2028", "\u2029", "<", ">", "&", "\ufffd", "\xff"},
+		nil,
+		map[string]any{},
+	}
+	for _, kind := range []string{KindWorld, KindScenario} {
+		for i, body := range bodies {
+			got, err := Seal(kind, body)
+			if err != nil {
+				t.Fatalf("%s body %d: %v", kind, i, err)
+			}
+			if want := referenceSeal(t, kind, body); !bytes.Equal(got, want) {
+				t.Fatalf("%s body %d: Seal differs from the reference envelope\ngot  %s\nwant %s", kind, i, got, want)
+			}
+			if _, _, err := Open(got); err != nil {
+				t.Fatalf("%s body %d: sealed file does not open: %v", kind, i, err)
+			}
+		}
 	}
 }
 

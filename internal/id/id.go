@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Bits is the width of an identifier in bits.
@@ -125,6 +126,18 @@ func (d ID) Cmp(o ID) int {
 
 // Less reports whether d < o as unsigned integers.
 func (d ID) Less(o ID) bool { return d.Cmp(o) < 0 }
+
+// SortedKeys returns the keys of an identifier-keyed map in ascending
+// order — the deterministic iteration order every checkpoint encoder
+// uses.
+func SortedKeys[V any](m map[ID]V) []ID {
+	keys := make([]ID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, ID.Cmp)
+	return keys
+}
 
 // Contains reports whether x appears in list. Intended for the small
 // fixed-size sets the overlay works with (manager sets, successor

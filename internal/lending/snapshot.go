@@ -76,16 +76,6 @@ type State struct {
 	Stats   Stats          `json:"stats"`
 }
 
-// sortedIDKeys returns the map's keys in ascending identifier order.
-func sortedIDKeys[V any](m map[id.ID]V) []id.ID {
-	out := make([]id.ID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
 // sortedNonces returns the set's members in ascending order.
 func sortedNonces(m map[uint64]bool) []uint64 {
 	out := make([]uint64, 0, len(m))
@@ -112,7 +102,7 @@ func (p *Protocol) ExportState() (State, error) {
 			return State{}, fmt.Errorf("lending: cannot checkpoint identity type %T for %s", ident, pid.Short())
 		}
 	}
-	for _, pid := range sortedIDKeys(p.tombs) {
+	for _, pid := range id.SortedKeys(p.tombs) {
 		pub, ok := transport.VerifyOnlyPublic(p.tombs[pid])
 		if !ok {
 			return State{}, fmt.Errorf("lending: cannot checkpoint tombstone type %T for %s", p.tombs[pid], pid.Short())
@@ -126,14 +116,14 @@ func (p *Protocol) ExportState() (State, error) {
 			Node:       node,
 			SeenLend:   sortedNonces(sm.seenLend),
 			SeenReward: sortedNonces(sm.seenReward),
-			Flagged:    sortedIDKeys(sm.flagged),
+			Flagged:    id.SortedKeys(sm.flagged),
 		}
-		for _, peer := range sortedIDKeys(sm.bootNonce) {
+		for _, peer := range id.SortedKeys(sm.bootNonce) {
 			rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
 		}
 		st.SM = append(st.SM, rec)
 	}
-	for _, newcomer := range sortedIDKeys(p.intro) {
+	for _, newcomer := range id.SortedKeys(p.intro) {
 		rec := p.intro[newcomer]
 		st.Stakes = append(st.Stakes, StakeRecord{
 			Newcomer:   newcomer,
@@ -143,7 +133,7 @@ func (p *Protocol) ExportState() (State, error) {
 			State:      rec.state,
 		})
 	}
-	st.Flagged = sortedIDKeys(p.flagged)
+	st.Flagged = id.SortedKeys(p.flagged)
 	return st, nil
 }
 

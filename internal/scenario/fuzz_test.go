@@ -7,9 +7,12 @@ package scenario
 // fuzzer starts from deep, structurally valid inputs.
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/id"
+	"repro/internal/rocq"
 	"repro/internal/sim"
 	"repro/internal/world"
 )
@@ -103,13 +106,16 @@ func FuzzSnapshotBody(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"version":1}`))
-	// Hostile v4 arena-table shapes: duplicate ordinals, a free-list
+	// Hostile arena-table shapes (the table arrived in format v4): duplicate ordinals, a free-list
 	// entry colliding with an assigned slot, and an ordinal with no
 	// backing record elsewhere in the document. Restore must reject all
 	// of them rather than build a corrupt arena.
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":0},{"peer":"01","ord":0}]}`))
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":1}],"ordFree":[1]}`))
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":-3}],"ordFree":[0,0]}`))
+	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":0},{"peer":"01","ord":0}]}`))
+	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":1}],"ordFree":[1]}`))
+	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":-3}],"ordFree":[0,0]}`))
+	for _, b := range hostileColumnSeeds(f, bodies[1]) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if st, err := DecodeRunStateBody(body); err == nil {
 			_, _ = Resume(st)
@@ -118,4 +124,53 @@ func FuzzSnapshotBody(f *testing.F) {
 			_, _ = world.Restore(snap)
 		}
 	})
+}
+
+// hostileColumnSeeds derives v5 bodies with defective columnar tables
+// from a real world body: an identifier column that is not a whole
+// number of identifiers, opinion sums and counts of different lengths,
+// unsorted reporters and a duplicate partner. Each must decode (the
+// defects are semantic, not syntactic) and then fail Restore.
+func hostileColumnSeeds(f *testing.F, worldBody []byte) [][]byte {
+	f.Helper()
+	a, b := id.FromUint64(1), id.FromUint64(2)
+	pair := func(x, y id.ID) []byte { return append(append([]byte(nil), x[:]...), y[:]...) }
+	edits := []func(s *world.Snapshot){
+		func(s *world.Snapshot) {
+			s.Stores[0].State.CredIDs, s.Stores[0].State.Cred = pair(a, b)[:id.Bytes+1], []float64{0.5}
+		},
+		func(s *world.Snapshot) {
+			s.Peers[0].Opinions = rocq.BookState{Partners: pair(a, b), Sums: []float64{1, 0}, Counts: []int64{1}}
+		},
+		func(s *world.Snapshot) {
+			s.Stores[0].State.CredIDs, s.Stores[0].State.Cred = pair(b, a), []float64{0.5, 0.5}
+		},
+		func(s *world.Snapshot) {
+			s.Peers[0].Opinions = rocq.BookState{Partners: pair(a, a), Sums: []float64{1, 1}, Counts: []int64{1, 1}}
+		},
+	}
+	var out [][]byte
+	for i, edit := range edits {
+		snap, err := world.DecodeSnapshotBody(worldBody)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(snap.Peers) == 0 || len(snap.Stores) == 0 {
+			f.Fatal("seed world has no peers or no stores")
+		}
+		edit(snap)
+		body, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dec, err := world.DecodeSnapshotBody(body)
+		if err != nil {
+			f.Fatalf("hostile seed %d does not decode: %v", i, err)
+		}
+		if _, err := world.Restore(dec); err == nil {
+			f.Fatalf("hostile seed %d restored without error", i)
+		}
+		out = append(out, body)
+	}
+	return out
 }

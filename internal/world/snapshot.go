@@ -60,8 +60,11 @@ import (
 // histogram. Version 4 added the arena memory layout: per-peer state
 // lives in ordinal-addressed slots, and the ordinal table plus its
 // free-list are captured verbatim so a restored world recycles slots in
-// the same order the uncut run would.
-const SnapshotVersion = 4
+// the same order the uncut run would. Version 5 made the two largest
+// tables columnar: a store's credibilities and a peer's opinion book
+// carry their identifiers packed into one base64 string beside parallel
+// value arrays, instead of one object per entry.
+const SnapshotVersion = 5
 
 // Event payload types. Each pending-event kind the world schedules has
 // one; the payload pins everything the matching *Body constructor needs.
@@ -106,20 +109,20 @@ type EventRecord struct {
 
 // PeerRecord is one peer object — live or departed-but-rejoinable.
 type PeerRecord struct {
-	ID          id.ID                `json:"id"`
-	Class       peer.Class           `json:"class"`
-	Style       peer.Style           `json:"style"`
-	JoinedAt    sim.Tick             `json:"joinedAt"`
-	Completed   int                  `json:"completed"`
-	Audited     bool                 `json:"audited,omitempty"`
-	Introducer  id.ID                `json:"introducer"`
-	Flagged     bool                 `json:"flagged,omitempty"`
-	DefectAt    sim.Tick             `json:"defectAt,omitempty"`
-	Cohort      string               `json:"cohort,omitempty"`
-	PlanOrdinal int64                `json:"planOrdinal,omitempty"`
-	PlanSeq     int64                `json:"planSeq,omitempty"`
-	Plan        *workload.Plan       `json:"plan,omitempty"`
-	Opinions    []rocq.PartnerRecord `json:"opinions,omitempty"`
+	ID          id.ID          `json:"id"`
+	Class       peer.Class     `json:"class"`
+	Style       peer.Style     `json:"style"`
+	JoinedAt    sim.Tick       `json:"joinedAt"`
+	Completed   int            `json:"completed"`
+	Audited     bool           `json:"audited,omitempty"`
+	Introducer  id.ID          `json:"introducer"`
+	Flagged     bool           `json:"flagged,omitempty"`
+	DefectAt    sim.Tick       `json:"defectAt,omitempty"`
+	Cohort      string         `json:"cohort,omitempty"`
+	PlanOrdinal int64          `json:"planOrdinal,omitempty"`
+	PlanSeq     int64          `json:"planSeq,omitempty"`
+	Plan        *workload.Plan `json:"plan,omitempty"`
+	Opinions    rocq.BookState `json:"opinions,omitzero"`
 }
 
 // DepartedRecord is one offline peer eligible to rejoin, with the
@@ -366,7 +369,7 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		ord, _ := w.ords.Get(pid)
 		s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: w.slots[ord].rep})
 	}
-	for _, pid := range sortedWorldIDs(w.smCache) {
+	for _, pid := range id.SortedKeys(w.smCache) {
 		e := w.smCache[pid]
 		rec := SMCacheRecord{
 			Peer:   pid,
@@ -378,7 +381,7 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		}
 		s.SMCache = append(s.SMCache, rec)
 	}
-	for _, owner := range sortedWorldIDs(w.smDeps) {
+	for _, owner := range id.SortedKeys(w.smDeps) {
 		s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: owner, Peers: append([]id.ID(nil), w.smDeps[owner]...)})
 	}
 	return s, nil
@@ -485,7 +488,10 @@ func Restore(s *Snapshot) (*World, error) {
 		if sl.pr != nil {
 			return nil, fmt.Errorf("world: restore: duplicate peer %s", rec.ID.Short())
 		}
-		p := w.restorePeer(rec)
+		p, err := w.restorePeer(rec)
+		if err != nil {
+			return nil, err
+		}
 		if err := w.ring.Join(p.ID); err != nil {
 			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
 		}
@@ -532,7 +538,9 @@ func Restore(s *Snapshot) (*World, error) {
 			return nil, fmt.Errorf("world: restore: duplicate store for %s", rec.Node.Short())
 		}
 		st := rocq.NewStore(rocq.DefaultParams())
-		st.RestoreState(rec.State)
+		if err := st.RestoreState(rec.State); err != nil {
+			return nil, fmt.Errorf("world: restore: store at %s: %w", rec.Node.Short(), err)
+		}
 		st.SetOnChange(w.markRepDirty)
 		sl.store = st
 	}
@@ -546,7 +554,11 @@ func Restore(s *Snapshot) (*World, error) {
 		if sl.departed != nil {
 			return nil, fmt.Errorf("world: restore: duplicate departed peer %s", pid.Short())
 		}
-		d := &departedPeer{peer: w.restorePeer(rec.Peer)}
+		p, err := w.restorePeer(rec.Peer)
+		if err != nil {
+			return nil, err
+		}
+		d := &departedPeer{peer: p}
 		switch {
 		case rec.Null && rec.Signer != nil:
 			return nil, fmt.Errorf("world: restore: departed %s has both null and signer identity", pid.Short())
@@ -893,7 +905,7 @@ func peerRecord(p *peer.Peer) PeerRecord {
 
 // restorePeer rebuilds one peer object, in the world's slab, from its
 // record.
-func (w *World) restorePeer(rec PeerRecord) *peer.Peer {
+func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
 	p := w.newPeer(rec.ID, rec.Class, rec.Style)
 	p.JoinedAt = rec.JoinedAt
 	p.Completed = rec.Completed
@@ -908,8 +920,10 @@ func (w *World) restorePeer(rec PeerRecord) *peer.Peer {
 		cp := *rec.Plan
 		p.Plan = &cp
 	}
-	p.Opinions.RestoreState(rec.Opinions)
-	return p
+	if err := p.Opinions.RestoreState(rec.Opinions); err != nil {
+		return nil, fmt.Errorf("world: restore: opinions of %s: %w", rec.ID.Short(), err)
+	}
+	return p, nil
 }
 
 // copySeries detaches a metrics series from the live world.
@@ -956,14 +970,4 @@ func restoredSeries(s *metrics.Series, name string, now sim.Tick) (*metrics.Seri
 		}
 	}
 	return out, nil
-}
-
-// sortedWorldIDs returns a map's keys in ascending identifier order.
-func sortedWorldIDs[V any](m map[id.ID]V) []id.ID {
-	out := make([]id.ID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortIDs(out)
-	return out
 }

@@ -11,8 +11,10 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/metrics"
@@ -297,5 +299,128 @@ func TestDecodeSnapshotRejectsDefects(t *testing.T) {
 	}
 	if _, err := skew.Encode(); err == nil {
 		t.Fatal("version-skewed snapshot should be rejected by Encode")
+	}
+}
+
+// TestRestoreRejectsHostileColumns corrupts the columnar tables of a
+// decoded snapshot — a live peer's and a departed peer's opinion book
+// and a store's credibility table — and requires Restore to fail with
+// an error that names the defect, instead of restoring a world whose
+// book or table silently dropped or overwrote entries.
+func TestRestoreRejectsHostileColumns(t *testing.T) {
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(2500); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	fresh := func() *Snapshot {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		return s
+	}
+	if _, err := Restore(fresh()); err != nil {
+		t.Fatalf("unmodified snapshot does not restore: %v", err)
+	}
+	// bigBook returns a record whose book has at least two partners.
+	bigBook := func(recs []PeerRecord) *PeerRecord {
+		for i := range recs {
+			if len(recs[i].Opinions.Sums) >= 2 {
+				return &recs[i]
+			}
+		}
+		t.Fatal("no peer with two or more partners")
+		return nil
+	}
+	cases := []struct {
+		name string
+		edit func(s *Snapshot)
+		want string
+	}{
+		{"duplicate partner", func(s *Snapshot) {
+			b := &bigBook(s.Peers).Opinions
+			copy(b.Partners[20:40], b.Partners[0:20])
+		}, "opinion identifiers not strictly ascending at entry 1"},
+		{"sums and counts disagree", func(s *Snapshot) {
+			b := &bigBook(s.Peers).Opinions
+			b.Counts = b.Counts[1:]
+		}, "opinion columns disagree"},
+		{"departed peer's ragged partner column", func(s *Snapshot) {
+			var recs []PeerRecord
+			for _, d := range s.Departed {
+				recs = append(recs, d.Peer)
+			}
+			target := bigBook(recs).ID
+			for i := range s.Departed {
+				if s.Departed[i].Peer.ID == target {
+					b := &s.Departed[i].Peer.Opinions
+					b.Partners = b.Partners[:len(b.Partners)-3]
+				}
+			}
+		}, "not a multiple of 20"},
+		{"unsorted reporters", func(s *Snapshot) {
+			for i := range s.Stores {
+				st := &s.Stores[i].State
+				if len(st.Cred) >= 2 {
+					a, b := st.CredIDs[0:20], st.CredIDs[20:40]
+					for k := range a {
+						a[k], b[k] = b[k], a[k]
+					}
+					return
+				}
+			}
+			t.Fatal("no store with two or more credibilities")
+		}, "credibility identifiers not strictly ascending"},
+		{"credibility without reporter", func(s *Snapshot) {
+			st := &s.Stores[0].State
+			st.Cred = append(st.Cred, 0.5)
+		}, "credibility columns disagree"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fresh()
+			tc.edit(s)
+			_, err := Restore(s)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsPreviousVersion seals a body that claims the previous
+// format version and requires the version-skew error: old checkpoints
+// are refused, never migrated.
+func TestDecodeRejectsPreviousVersion(t *testing.T) {
+	w, err := New(churnyCfg(8))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	old := *snap
+	old.Version = SnapshotVersion - 1
+	data, err := checkpoint.Seal(checkpoint.KindWorld, &old)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	want := fmt.Sprintf("snapshot version %d not supported (want %d)", SnapshotVersion-1, SnapshotVersion)
+	if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeSnapshot error %v, want one containing %q", err, want)
 	}
 }
