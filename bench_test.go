@@ -201,8 +201,8 @@ func BenchmarkFig1Macro(b *testing.B) {
 // BenchmarkChurnMacro is the membership-churn macro benchmark: the churn
 // sweep (four μ points, 2 replicas each) at half paper scale. On top of
 // Fig1Macro's hot paths it exercises the departure clocks, batch
-// detachment, score-manager state migration and the incremental sampling
-// flush under sustained membership loss — the BENCH_3.json workload.
+// detachment, score-manager state migration and the periodic sampling
+// walk under sustained membership loss — the BENCH_3.json workload.
 func BenchmarkChurnMacro(b *testing.B) {
 	if testing.Short() {
 		b.Skip("macro benchmark: minutes of simulated churn")

@@ -66,27 +66,3 @@ func TestSubjectIDsSortedAndPresentOnly(t *testing.T) {
 		}
 	}
 }
-
-func TestOnChangeObservesEveryMutation(t *testing.T) {
-	s := NewStore(DefaultParams())
-	var events []id.ID
-	s.SetOnChange(func(subject id.ID) { events = append(events, subject) })
-	a, b := id.FromUint64(1), id.FromUint64(2)
-	s.Init(a, 0.5)
-	s.Report(id.FromUint64(3), a, Opinion{Value: 1, Quality: 0.5, Count: 1})
-	s.Credit(b, 0.1)
-	s.Debit(b, 0.05)
-	s.Zero(b)
-	s.Adopt(a, Snapshot{S: 1, W: 2, Reports: 1, Prior: 0.5})
-	s.Forget(a)
-	wantLen := 7
-	if len(events) != wantLen {
-		t.Fatalf("observer saw %d events, want %d: %v", len(events), wantLen, events)
-	}
-	// A placeholder Ref and plain queries are not mutations.
-	s.Ref(id.FromUint64(4))
-	s.Query(b)
-	if len(events) != wantLen {
-		t.Fatal("non-mutating calls notified the observer")
-	}
-}

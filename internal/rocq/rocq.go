@@ -223,13 +223,6 @@ type Store struct {
 
 	known   int // subjects with evidence (present slots)
 	reports int64
-
-	// onChange, when set, observes every mutation of a subject's stored
-	// evidence (reports, credits, debits, zeroing, init, adoption,
-	// forgetting). The simulation world uses it to dirty-track reputation
-	// reads so periodic sampling touches only subjects that changed.
-	//replend:allow snapshotfields observer hook, re-attached by the restoring world (SetOnChange) — not serializable state
-	onChange func(subject id.ID)
 }
 
 // subjectMeta is the cold half of one subject slot: reputation reads as
@@ -245,7 +238,7 @@ type Store struct {
 // until Forget recycles it, so a Ref stays valid as long as its subject
 // is not forgotten.
 type subjectMeta struct {
-	subject id.ID // the subject this slot is about (for change notification)
+	subject id.ID // the subject this slot is about
 	reports int64
 	present bool // the store has actually heard about this subject
 }
@@ -268,16 +261,6 @@ func (s *Store) Subjects() int { return s.known }
 
 // Reports returns the total number of reports folded in.
 func (s *Store) Reports() int64 { return s.reports }
-
-// SetOnChange attaches the evidence-mutation observer; nil detaches it.
-func (s *Store) SetOnChange(fn func(subject id.ID)) { s.onChange = fn }
-
-// notify reports a mutation of the slot's subject to the observer.
-func (s *Store) notify(idx int32) {
-	if s.onChange != nil {
-		s.onChange(s.meta[idx].subject)
-	}
-}
 
 // slot returns the subject's slot index, creating an empty (non-present)
 // placeholder — from the free-list if churn released one — if the store
@@ -324,7 +307,6 @@ func (s *Store) Init(subject id.ID, rep float64) {
 	s.meta[idx] = subjectMeta{subject: subject, present: true}
 	s.w[idx] = initWeight
 	s.s[idx] = clamp01(rep) * (initWeight + s.params.PriorWeight)
-	s.notify(idx)
 }
 
 // Known reports whether the store holds state for the subject.
@@ -377,7 +359,6 @@ func (s *Store) Forget(subject id.ID) {
 	}
 	if s.meta[idx].present {
 		s.known--
-		s.notify(idx)
 	}
 	delete(s.index, subject)
 	s.s[idx], s.w[idx] = 0, 0
@@ -437,7 +418,6 @@ func (s *Store) reportTo(idx int32, reporter id.ID, op Opinion) {
 	}
 	s.meta[idx].reports++
 	s.updateCred(reporter, cred, op.Value, s.value(idx))
-	s.notify(idx)
 }
 
 // updateCred moves the reporter's credibility toward 1−|opinion−aggregate|:
@@ -472,7 +452,6 @@ func (s *Store) adjust(subject id.ID, delta float64) {
 	if s.s[idx] < 0 {
 		s.s[idx] = 0
 	}
-	s.notify(idx)
 }
 
 // Credit raises the subject's stored reputation by amount (clamped to 1),
@@ -504,7 +483,6 @@ func (s *Store) Zero(subject id.ID) {
 	idx := s.slot(subject)
 	s.materialize(idx)
 	s.s[idx] = 0
-	s.notify(idx)
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +521,6 @@ func (s *Store) Adopt(subject id.ID, sn Snapshot) {
 	idx := s.slot(subject)
 	s.materialize(idx)
 	s.s[idx], s.w[idx], s.meta[idx].reports = sn.S, sn.W, sn.Reports
-	s.notify(idx)
 }
 
 // SubjectIDs returns the subjects with stored evidence in ascending

@@ -110,9 +110,9 @@ func FuzzSnapshotBody(f *testing.F) {
 	// entry colliding with an assigned slot, and an ordinal with no
 	// backing record elsewhere in the document. Restore must reject all
 	// of them rather than build a corrupt arena.
-	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":0},{"peer":"01","ord":0}]}`))
-	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":1}],"ordFree":[1]}`))
-	f.Add([]byte(`{"version":5,"ordinals":[{"peer":"00","ord":-3}],"ordFree":[0,0]}`))
+	f.Add([]byte(`{"version":6,"ordinals":[{"peer":"00","ord":0},{"peer":"01","ord":0}]}`))
+	f.Add([]byte(`{"version":6,"ordinals":[{"peer":"00","ord":1}],"ordFree":[1]}`))
+	f.Add([]byte(`{"version":6,"ordinals":[{"peer":"00","ord":-3}],"ordFree":[0,0]}`))
 	for _, b := range hostileColumnSeeds(f, bodies[1]) {
 		f.Add(b)
 	}
@@ -126,7 +126,7 @@ func FuzzSnapshotBody(f *testing.F) {
 	})
 }
 
-// hostileColumnSeeds derives v5 bodies with defective columnar tables
+// hostileColumnSeeds derives bodies with defective columnar tables
 // from a real world body: an identifier column that is not a whole
 // number of identifiers, opinion sums and counts of different lengths,
 // unsorted reporters and a duplicate partner. Each must decode (the

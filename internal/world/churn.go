@@ -382,8 +382,6 @@ func (w *World) departBatch(batch []leaver) {
 		w.noteRingLeave(l.pid, succ)
 		w.bus.Unregister(l.pid)
 		w.proto.UnregisterPeer(l.pid)
-		// Fetch the slot only now: noteRingLeave can mark reputation dirty,
-		// which may grow the slot arena and move earlier pointers.
 		s := w.slotOf(l.pid)
 		s.store = nil
 		s.pr = nil
@@ -487,8 +485,8 @@ func (w *World) peerByID(pid id.ID) *peer.Peer {
 }
 
 // removeAdmitted takes a peer out of the admitted community: membership
-// slice and set (preserving admission order), topology, population
-// counters and the sampling sum.
+// slice and set (preserving admission order), topology and population
+// counters.
 func (w *World) removeAdmitted(p *peer.Peer) {
 	for i, q := range w.admittedPeers {
 		if q == p {
@@ -496,19 +494,13 @@ func (w *World) removeAdmitted(p *peer.Peer) {
 			break
 		}
 	}
-	s := w.slotOf(p.ID)
-	s.admitted = false
+	w.slotOf(p.ID).admitted = false
 	w.topo.Remove(p.ID)
 	if cs := w.cohortStats(p.Cohort); cs != nil {
 		cs.InSystem--
 	}
 	if p.Class == peer.Cooperative {
 		w.m.CoopInSystem--
-		if s.hasRep {
-			w.repSum -= s.rep
-			s.rep = 0
-			s.hasRep = false
-		}
 	} else {
 		w.m.UncoopInSystem--
 	}
@@ -578,7 +570,6 @@ func (w *World) applyHandoff(records []handoffRecord) {
 			w.m.Churn.Wipeouts++
 			w.ensureSlot(rec.subject).wiped = true
 			w.record(trace.Wipeout, rec.subject, id.ID{}, "")
-			w.markRepDirty(rec.subject)
 			continue
 		}
 		e := w.smEntry(rec.subject) // placement after the leave

@@ -3,18 +3,18 @@ package world
 // Checkpointable worlds. Snapshot captures every piece of state a run's
 // future outputs can observe — peers and their opinion books, the
 // overlay membership, score-manager stores, the lending protocol, the
-// topology selector, every random stream, the pending event queue,
-// the sampling accumulators and the placement cache — in a versioned,
-// deterministic encoding: the same world always serializes to the same
-// bytes, and a restored world continues byte-identically to the
-// uninterrupted run.
+// topology selector, every random stream, the pending event queue and
+// the sampled metrics — in a versioned, deterministic encoding: the same
+// world always serializes to the same bytes, and a restored world
+// continues byte-identically to the uninterrupted run.
 //
 // Three disciplines make that hold:
 //
 //   - Map-backed state is flattened into sorted slices (or captured in
 //     an explicitly recorded order where the order itself is state: the
-//     admission list, the dirty-reputation queue, the placement-index
-//     slices), so encoding never iterates a Go map.
+//     admission list, which also fixes the summation order of the
+//     sampled cooperative mean, and the arena ordinal table), so
+//     encoding never iterates a Go map.
 //
 //   - Pending events carry typed payloads (see the *Body constructors
 //     in world.go/churn.go/delta.go): a checkpoint stores (name, seq,
@@ -22,11 +22,11 @@ package world
 //     under its original sequence number so intra-tick FIFO order is
 //     preserved.
 //
-//   - Caches that are pure functions of captured state (ring structure,
-//     signature memos, store placeholder slots) are rebuilt, while
-//     caches whose *layout* feeds deterministic iteration (the
-//     placement cache and its owner index, including stale slots) are
-//     captured verbatim.
+//   - Caches are rebuilt, never captured. The ring structure, signature
+//     memos and store placeholder slots are pure functions of captured
+//     state; the placement cache and its owner index start empty after
+//     a restore and refill on demand, since no output depends on their
+//     layout.
 //
 // Snapshots are refused while transport faults are active: delayed
 // deliveries live in the queue as closures over in-flight messages,
@@ -63,8 +63,11 @@ import (
 // the same order the uncut run would. Version 5 made the two largest
 // tables columnar: a store's credibilities and a peer's opinion book
 // carry their identifiers packed into one base64 string beside parallel
-// value arrays, instead of one object per entry.
-const SnapshotVersion = 5
+// value arrays, instead of one object per entry. Version 6 dropped the
+// placement cache, its owner index and the incremental sampling state
+// (running sum, dirty queue, cached per-peer values): the cooperative
+// mean is one walk over the admission list, so none of them is state.
+const SnapshotVersion = 6
 
 // Event payload types. Each pending-event kind the world schedules has
 // one; the payload pins everything the matching *Body constructor needs.
@@ -140,37 +143,6 @@ type StoreRecord struct {
 	State rocq.StoreState `json:"state"`
 }
 
-// RepRecord is one entry of the sampling cache.
-type RepRecord struct {
-	Peer id.ID   `json:"peer"`
-	Rep  float64 `json:"rep"`
-}
-
-// SMDepRecord is one recorded ownership arc of a cached placement.
-type SMDepRecord struct {
-	Key   id.ID `json:"key"`
-	Owner id.ID `json:"owner"`
-	Skip  bool  `json:"skip,omitempty"`
-}
-
-// SMCacheRecord is one peer's cached score-manager placement. Stores and
-// refs are re-resolved on restore; the manager set and the dependency
-// arcs are captured verbatim.
-type SMCacheRecord struct {
-	Peer   id.ID         `json:"peer"`
-	SMs    []id.ID       `json:"sms"`
-	Padded bool          `json:"padded,omitempty"`
-	Deps   []SMDepRecord `json:"deps,omitempty"`
-}
-
-// SMDepsRecord is one owner's slice of the placement index, in its exact
-// live order — stale slots included, since scan order feeds the
-// deterministic dirty-marking sequence.
-type SMDepsRecord struct {
-	Owner id.ID   `json:"owner"`
-	Peers []id.ID `json:"peers"`
-}
-
 // RandState is the position of every random stream the world owns
 // directly (the topology selector's stream travels inside its own
 // state; signer streams inside the lending state).
@@ -214,14 +186,6 @@ type Snapshot struct {
 
 	Crashed  []id.ID         `json:"crashed,omitempty"` // ascending ID
 	BusStats transport.Stats `json:"busStats"`
-
-	RepSum    float64     `json:"repSum"`
-	RepCached []RepRecord `json:"repCached,omitempty"` // ascending peer ID
-	DirtyRep  []id.ID     `json:"dirtyRep,omitempty"`  // insertion order, verbatim
-
-	SMCache    []SMCacheRecord `json:"smCache,omitempty"` // ascending peer ID
-	SMDeps     []SMDepsRecord  `json:"smDeps,omitempty"`  // ascending owner ID
-	SMDepSlots int             `json:"smDepSlots"`
 
 	// Arrivals carries the in-flight arrival ticks (peers inside the
 	// waiting period), so a resumed run observes the same admission
@@ -288,9 +252,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		WkReplayNext: w.wkReplayNext,
 		Crashed:      w.bus.CrashedAddrs(),
 		BusStats:     w.bus.Stats(),
-		RepSum:       w.repSum,
-		DirtyRep:     append([]id.ID(nil), w.dirtyRep...),
-		SMDepSlots:   w.smDepSlots,
 		Metrics:      w.m,
 	}
 	// The Cohorts slice would otherwise share its backing array with the
@@ -365,25 +326,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	}
 	s.Lending = lend
 
-	for _, pid := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.hasRep }) {
-		ord, _ := w.ords.Get(pid)
-		s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: w.slots[ord].rep})
-	}
-	for _, pid := range id.SortedKeys(w.smCache) {
-		e := w.smCache[pid]
-		rec := SMCacheRecord{
-			Peer:   pid,
-			SMs:    append([]id.ID(nil), e.sms...),
-			Padded: e.padded,
-		}
-		for _, d := range e.deps {
-			rec.Deps = append(rec.Deps, SMDepRecord{Key: d.key, Owner: d.owner, Skip: d.skip})
-		}
-		s.SMCache = append(s.SMCache, rec)
-	}
-	for _, owner := range id.SortedKeys(w.smDeps) {
-		s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: owner, Peers: append([]id.ID(nil), w.smDeps[owner]...)})
-	}
 	return s, nil
 }
 
@@ -478,8 +420,9 @@ func Restore(s *Snapshot) (*World, error) {
 	}
 
 	// Peers and the overlay. Records arrive in ascending ID order and the
-	// ring's treap shape is a pure function of membership, so joining in
-	// record order rebuilds the exact structure.
+	// ring's treap shape is a pure function of membership, so one bulk join
+	// in record order rebuilds the exact structure.
+	members := make([]id.ID, 0, len(s.Peers))
 	for _, rec := range s.Peers {
 		sl, err := slotFor(rec.ID)
 		if err != nil {
@@ -492,10 +435,11 @@ func Restore(s *Snapshot) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := w.ring.Join(p.ID); err != nil {
-			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
-		}
 		sl.pr = p
+		members = append(members, p.ID)
+	}
+	if err := w.ring.JoinAll(members); err != nil {
+		return nil, fmt.Errorf("world: restore: joining overlay: %w", err)
 	}
 
 	// The lending protocol re-registers every live signer's bus handler;
@@ -541,7 +485,6 @@ func Restore(s *Snapshot) (*World, error) {
 		if err := st.RestoreState(rec.State); err != nil {
 			return nil, fmt.Errorf("world: restore: store at %s: %w", rec.Node.Short(), err)
 		}
-		st.SetOnChange(w.markRepDirty)
 		sl.store = st
 	}
 
@@ -594,58 +537,6 @@ func Restore(s *Snapshot) (*World, error) {
 		return nil, fmt.Errorf("world: restore: replay cursor %d out of range (trace has %d events)", s.WkReplayNext, traceLen)
 	}
 	w.wkReplayNext = s.WkReplayNext
-
-	w.repSum = s.RepSum
-	for _, rec := range s.RepCached {
-		sl, err := slotFor(rec.Peer)
-		if err != nil {
-			return nil, err
-		}
-		sl.hasRep = true
-		sl.rep = rec.Rep
-	}
-	for _, pid := range s.DirtyRep {
-		sl, err := slotFor(pid)
-		if err != nil {
-			return nil, err
-		}
-		if sl.dirty {
-			return nil, fmt.Errorf("world: restore: duplicate dirty-reputation entry %s", pid.Short())
-		}
-		sl.dirty = true
-		w.dirtyRep = append(w.dirtyRep, pid)
-	}
-
-	for _, rec := range s.SMCache {
-		if _, dup := w.smCache[rec.Peer]; dup {
-			return nil, fmt.Errorf("world: restore: duplicate placement entry %s", rec.Peer.Short())
-		}
-		e := &smCacheEntry{
-			sms:    append([]id.ID(nil), rec.SMs...),
-			padded: rec.Padded,
-		}
-		for _, d := range rec.Deps {
-			e.deps = append(e.deps, smDep{key: d.Key, owner: d.Owner, skip: d.Skip})
-		}
-		e.stores = make([]*rocq.Store, len(e.sms))
-		e.refs = make([]rocq.Ref, len(e.sms))
-		for i, n := range e.sms {
-			st, ok := w.storeAt(n)
-			if !ok {
-				return nil, fmt.Errorf("world: restore: placement of %s references missing store %s", rec.Peer.Short(), n.Short())
-			}
-			e.stores[i] = st
-			e.refs[i] = st.Ref(rec.Peer)
-		}
-		w.smCache[rec.Peer] = e
-	}
-	for _, rec := range s.SMDeps {
-		if _, dup := w.smDeps[rec.Owner]; dup {
-			return nil, fmt.Errorf("world: restore: duplicate placement-index owner %s", rec.Owner.Short())
-		}
-		w.smDeps[rec.Owner] = append([]id.ID(nil), rec.Peers...)
-	}
-	w.smDepSlots = s.SMDepSlots
 
 	w.m = s.Metrics
 	w.m.Cohorts = append([]CohortStats(nil), s.Metrics.Cohorts...)

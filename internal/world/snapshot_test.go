@@ -99,10 +99,26 @@ func roundTrip(t *testing.T, w *World) *World {
 	return restored
 }
 
+// TestSnapshotRestoreByteIdentity cuts churning worlds at nine
+// seed-derived ticks each and requires every resume to finish
+// byte-identical to the uninterrupted run. The seeds sweep a factorial
+// of placement width (NumSM 2–5), record migration on and off, and a
+// cooperative-only versus 30%-freerider population; -short keeps one
+// seed per NumSM for the race job.
 func TestSnapshotRestoreByteIdentity(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if testing.Short() {
+		seeds = []uint64{1, 6, 11, 16}
+	}
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			i := int(seed - 1)
 			cfg := churnyCfg(seed)
+			cfg.NumSM = 2 + i%4
+			cfg.Churn.Migrate = i&4 == 0
+			if i&8 != 0 {
+				cfg.FracUncoop = 0.3
+			}
 
 			ref, err := New(cfg)
 			if err != nil {
@@ -113,36 +129,40 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 			}
 			want := fingerprint(t, ref)
 
-			// The interrupted run round-trips through chained checkpoints
-			// at seed-derived ticks, restoring into a fresh world each
-			// time.
+			// finish runs a world to the end and compares it with the
+			// uninterrupted run.
+			end := sim.Tick(cfg.NumTrans)
+			finish := func(w *World, from, cut sim.Tick) {
+				t.Helper()
+				if err := w.RunFor(end - from); err != nil {
+					t.Fatalf("RunFor tail after cut %d: %v", cut, err)
+				}
+				w.Finish()
+				if got := fingerprint(t, w); !bytes.Equal(want, got) {
+					t.Fatalf("run resumed at tick %d diverged from the uninterrupted run (fingerprints differ: %d vs %d bytes)", cut, len(want), len(got))
+				}
+			}
+
+			// The main line round-trips through chained checkpoints,
+			// restoring into a fresh world at every cut; each cut also
+			// forks a second restored world that runs to the end on its
+			// own, so a divergence names the cut that caused it.
 			w, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
 			w.Start()
-			end := sim.Tick(cfg.NumTrans)
-			cuts := []sim.Tick{
-				sim.Tick(300 + (seed*997)%1200),
-				sim.Tick(1800 + (seed*571)%1000),
-				sim.Tick(3100 + (seed*233)%700),
-			}
 			now := sim.Tick(0)
-			for _, cut := range cuts {
+			for k := uint64(1); k <= 9; k++ {
+				cut := sim.Tick(400*k + (seed*(97+k*131))%400)
 				if err := w.RunFor(cut - now); err != nil {
 					t.Fatalf("RunFor to %d: %v", cut, err)
 				}
+				finish(roundTrip(t, w), cut, cut)
 				w = roundTrip(t, w)
 				now = cut
 			}
-			if err := w.RunFor(end - now); err != nil {
-				t.Fatalf("RunFor tail: %v", err)
-			}
-			w.Finish()
-			got := fingerprint(t, w)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("restored run diverged from uninterrupted run (fingerprints differ: %d vs %d bytes)", len(want), len(got))
-			}
+			finish(w, now, now)
 		})
 	}
 }

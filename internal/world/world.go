@@ -11,9 +11,8 @@
 // streams per process (workload, arrivals, behaviour, keys, churn) keep
 // parameter changes from reshuffling unrelated draws, and nothing inside
 // a run is concurrent — replica parallelism lives in the experiments
-// package. Hot paths are cached (incremental score-manager placement,
-// O(changed-peers) reputation sampling); DESIGN.md's "Performance model"
-// section is the map.
+// package. Score-manager placement is cached with incremental
+// invalidation; DESIGN.md's "Performance model" section is the map.
 package world
 
 import (
@@ -105,13 +104,6 @@ type World struct {
 	departClk float64 // continuous departure clock (Poisson process)
 	departGen int64   // invalidates in-flight departure chains on μ changes
 
-	// Incremental sampling state: the running sum of cached cooperative
-	// reputations and the dirty queue of peers whose reputation may have
-	// moved since the last flush (see sample). Membership of the queue is
-	// the dirty bit in each slot.
-	repSum   float64
-	dirtyRep []id.ID // insertion-ordered for deterministic flushing
-
 	// smCache caches score-manager assignments (and their resolved
 	// stores) per peer. Invalidation is incremental: each entry records
 	// the ownership arcs its placement consulted, and smDeps indexes the
@@ -119,6 +111,7 @@ type World struct {
 	// the peers whose successor set can actually change instead of the
 	// whole cache (the old whole-epoch scheme collapsed to a ~0% hit rate
 	// under arrivals, recomputing placement on every transaction).
+	//replend:allow snapshotfields derived placement cache: Restore leaves it empty and it refills from the ring on demand; no output depends on its layout
 	smCache map[id.ID]*smCacheEntry
 	// smDeps maps an owner member to the peers whose cached entry depended
 	// on it when filled. The index is lazy: eviction leaves stale slice
@@ -126,7 +119,9 @@ type World struct {
 	// scans validate against the live entry and compact as they go, and a
 	// global rebuild runs when the slot count outgrows the live cache so
 	// staleness stays bounded.
-	smDeps     map[id.ID][]id.ID
+	//replend:allow snapshotfields owner index of the derived placement cache, empty with it after Restore
+	smDeps map[id.ID][]id.ID
+	//replend:allow snapshotfields slot count of the derived owner index, zero with it after Restore
 	smDepSlots int // total index slots, live and stale
 
 	seq        int64   // peer id sequence
@@ -138,30 +133,24 @@ type World struct {
 	m Metrics
 }
 
-// worldSlot is one peer's consolidated simulation state — previously
-// spread over eight id-keyed maps (peers, stores, departed, wiped,
-// repCached, arrivedAt, admittedSet, dirtyIn), now index-addressed by
+// worldSlot is one peer's consolidated simulation state, addressed by
 // the peer's arena ordinal. A slot stays assigned while any field is
 // live and returns to the free-list when the last one clears
 // (releaseIfEmpty), so sustained churn recycles slots instead of
 // growing the arena without bound.
 //
 // Slot pointers are invalidated by any call that can assign a fresh
-// ordinal (ensureSlot, Store, markRepDirty, smEntry): re-resolve
-// through the ordinal after such calls instead of holding the pointer.
+// ordinal (ensureSlot, Store, smEntry): re-resolve through the ordinal
+// after such calls instead of holding the pointer.
 type worldSlot struct {
 	pr       *peer.Peer    // attached peer object; nil when not in the system
 	store    *rocq.Store   // reputation store hosted at the peer's node
 	departed *departedPeer // offline but eligible to rejoin
 	wiped    bool          // every replica died in one membership event (sticky)
 	admitted bool          // currently in the admitted community
-	dirty    bool          // queued in dirtyRep for the sampling flush
-	hasRep   bool          // rep is part of the sampled cooperative sum
 	inFlight bool          // arrivedAt marks a live waiting period
-	// rep is the cached aggregate reputation feeding the incremental
-	// cooperative mean; arrivedAt is the tick the in-flight arrival asked
-	// for an introduction, observed by the admission-latency histogram.
-	rep       float64
+	// arrivedAt is the tick the in-flight arrival asked for an
+	// introduction, observed by the admission-latency histogram.
 	arrivedAt sim.Tick
 }
 
@@ -169,7 +158,7 @@ type worldSlot struct {
 // slot eligible for release.
 func (s *worldSlot) empty() bool {
 	return s.pr == nil && s.store == nil && s.departed == nil &&
-		!s.wiped && !s.admitted && !s.dirty && !s.hasRep && !s.inFlight
+		!s.wiped && !s.admitted && !s.inFlight
 }
 
 // slotOf returns the peer's slot, nil when no ordinal is assigned.
@@ -195,9 +184,9 @@ func (w *World) ensureSlot(pid id.ID) *worldSlot {
 
 // releaseIfEmpty returns the peer's slot to the ordinal free-list once
 // every field has cleared. Call sites are the state-removal paths
-// (detachment, permanent departure, the sampling flush), all of which
-// run in deterministic event order — so the free-list, and with it every
-// future ordinal assignment, is identical across runs.
+// (detachment, permanent departure), both of which run in deterministic
+// event order — so the free-list, and with it every future ordinal
+// assignment, is identical across runs.
 func (w *World) releaseIfEmpty(pid id.ID) {
 	if ord, ok := w.ords.Get(pid); ok && w.slots[ord].empty() {
 		w.slots[ord] = worldSlot{} // clear value remnants before recycling
@@ -620,12 +609,9 @@ func (w *World) indexDeps(p id.ID, e *smCacheEntry) {
 }
 
 // rebuildSMDeps drops every stale index slot by reindexing the live cache.
-// The cache is walked in ascending identifier order, not map order: the
-// index slices feed the join/leave invalidation scans, whose markRepDirty
-// calls set the accumulation order of the sampled reputation sum — a map
-// walk here let that float sum vary per process in its last ulps, which
-// the fleet's byte-identity contract (and any cross-process comparison of
-// high-churn runs) surfaces.
+// The cache is walked in ascending identifier order, not map order, so
+// the index slices (and the order the join/leave scans visit entries in)
+// are the same in every process.
 func (w *World) rebuildSMDeps() {
 	clear(w.smDeps)
 	w.smDepSlots = 0
@@ -708,14 +694,6 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 // the patch cannot pin down are evicted instead. The index slice for the
 // successor is compacted in the same pass.
 func (w *World) noteRingJoin(x id.ID) {
-	if w.ring.Size() == 2 {
-		// Leaving the single-member regime: the first member's placement
-		// was computed uncached (self-managed) and now changes, so requeue
-		// everyone for the sampling flush by hand.
-		for _, p := range w.admittedPeers {
-			w.markRepDirty(p.ID)
-		}
-	}
 	succ, ok := w.ring.NextMember(x)
 	if !ok || succ == x {
 		return // first member: nothing was cached
@@ -755,9 +733,6 @@ func (w *World) noteRingJoin(x id.ID) {
 			live = append(live, p)
 			continue
 		}
-		// The manager set (and so the aggregate read) may change with the
-		// patched arcs: requeue the peer for the sampling flush.
-		w.markRepDirty(p)
 		if w.rebuildEntry(p, e) {
 			w.smDeps[x] = append(w.smDeps[x], p)
 			w.smDepSlots++
@@ -794,7 +769,6 @@ func (w *World) noteRingLeave(x, succ id.ID) {
 		if !ok || !e.dependsOn(x) {
 			continue
 		}
-		w.markRepDirty(p) // the manager set changes with the leaver's arcs
 		if succ == p || succ == x || w.ring.Size() <= 1 {
 			delete(w.smCache, p)
 			continue
@@ -823,15 +797,11 @@ func (w *World) QueryReputation(pid id.ID) (float64, bool) {
 	return rocq.QueryRefs(w.smEntry(pid).refs)
 }
 
-// Store returns (allocating) the reputation store hosted at a node. Every
-// store reports evidence mutations into the sampling dirty set, so the
-// periodic mean only recomputes subjects that actually changed.
+// Store returns (allocating) the reputation store hosted at a node.
 func (w *World) Store(node id.ID) *rocq.Store {
 	s := w.ensureSlot(node)
 	if s.store == nil {
-		st := rocq.NewStore(rocq.DefaultParams())
-		st.SetOnChange(w.markRepDirty)
-		s.store = st
+		s.store = rocq.NewStore(rocq.DefaultParams())
 	}
 	return s.store
 }
@@ -945,17 +915,10 @@ func (w *World) attachNodeIdentity(p *peer.Peer, ident transport.Identity) error
 func (w *World) admit(p *peer.Peer, at sim.Tick) {
 	p.JoinedAt = at
 	w.admittedPeers = append(w.admittedPeers, p)
-	s := w.ensureSlot(p.ID)
-	s.admitted = true
+	w.ensureSlot(p.ID).admitted = true
 	w.topo.Add(p.ID)
 	if p.Class == peer.Cooperative {
 		w.m.CoopInSystem++
-		// Seed the sampling cache at zero and let the flush pick up the
-		// real value: the bootstrap credit (or founder Init) lands through
-		// the store hooks and dirties the peer anyway.
-		s.rep = 0
-		s.hasRep = true
-		w.markRepDirty(p.ID)
 	} else {
 		w.m.UncoopInSystem++
 	}
@@ -1387,11 +1350,9 @@ func (w *World) sampleStep() {
 }
 
 // sample records the population counts and the mean cooperative
-// reputation (the paper's Figure 2 series). The mean is served from the
-// incremental sum maintained by the dirty set: only peers whose stored
-// evidence (or placement) moved since the last sample are re-read, so
-// the pass costs O(changed peers) instead of walking the whole
-// population every interval.
+// reputation (the paper's Figure 2 series). The mean is one walk over the
+// admitted members in admission order, so the float sum is a function of
+// the captured state alone.
 func (w *World) sample() {
 	defer w.spans.Start("sampling")()
 	now := w.engine.Now()
@@ -1401,10 +1362,15 @@ func (w *World) sample() {
 	w.m.CoopCount.Append(int64(now), float64(w.m.CoopInSystem))
 	w.m.UncoopCount.Append(int64(now), float64(w.m.UncoopInSystem))
 
-	w.flushDirtyRep()
 	mean := 0.0
 	if w.m.CoopInSystem > 0 {
-		mean = w.repSum / float64(w.m.CoopInSystem)
+		sum := 0.0
+		for _, p := range w.admittedPeers {
+			if p.Class == peer.Cooperative {
+				sum += w.Reputation(p.ID)
+			}
+		}
+		mean = sum / float64(w.m.CoopInSystem)
 	}
 	w.m.CoopReputation.Append(int64(now), mean)
 
@@ -1415,45 +1381,6 @@ func (w *World) sample() {
 		w.telem.Sample(telemetry.Sample{At: at, Series: "coop-reputation", Value: mean})
 		w.telem.Sample(telemetry.Sample{At: at, Series: "population", Value: float64(len(w.admittedPeers))})
 	}
-}
-
-// markRepDirty queues a subject whose aggregate reputation may have moved
-// (evidence mutation, placement change, migration). Insertion order is
-// preserved so the flush is deterministic.
-func (w *World) markRepDirty(pid id.ID) {
-	s := w.ensureSlot(pid)
-	if s.dirty {
-		return
-	}
-	s.dirty = true
-	w.dirtyRep = append(w.dirtyRep, pid)
-}
-
-// flushDirtyRep folds the dirty set into the running cooperative
-// reputation sum. Subjects that are not admitted cooperative peers are
-// simply discarded (their aggregate is not part of the sampled mean).
-func (w *World) flushDirtyRep() {
-	for _, pid := range w.dirtyRep {
-		ord, ok := w.ords.Get(pid)
-		if !ok {
-			continue
-		}
-		w.slots[ord].dirty = false
-		if !w.slots[ord].admitted {
-			// Nothing left for the sampled mean to read; a slot holding no
-			// other state goes back to the free-list here.
-			w.releaseIfEmpty(pid)
-			continue
-		}
-		if p := w.slots[ord].pr; p == nil || p.Class != peer.Cooperative {
-			continue
-		}
-		v := w.Reputation(pid)
-		s := &w.slots[ord] // re-resolve: Reputation may grow the slot arena
-		w.repSum += v - s.rep
-		s.rep = v
-	}
-	w.dirtyRep = w.dirtyRep[:0]
 }
 
 // ---------------------------------------------------------------------------
